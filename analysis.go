@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"nexus/internal/bins"
 	"nexus/internal/core"
@@ -44,10 +45,13 @@ type Analysis struct {
 	binOpts bins.Options
 	byName  map[string]*core.Candidate
 	// metrics is the counter set every lazy pipeline stage (IPW detection,
-	// permutation tests, encoding-cache hits) reports into. It is the
-	// session trace's counter set when tracing is on, and a private set
-	// otherwise — one storage, so NumBiased and the trace cannot disagree.
+	// permutation tests, encoding-cache hits) reports into: the session
+	// trace's set when tracing is on, the server-wide Options.Metrics in
+	// nexusd, and a private set otherwise.
 	metrics *obs.Counters
+	// biased counts this analysis's own bias detections. It is bumped
+	// beside metrics' biased_attrs, which may be shared across analyses.
+	biased atomic.Int64
 }
 
 // adaptiveBins picks the discretization granularity from the view size:
@@ -440,6 +444,7 @@ func (s *Session) ipwWeights(a *Analysis, attr *extract.Attribute) []float64 {
 	if !rep.Biased {
 		return nil
 	}
+	a.biased.Add(1)
 	a.metrics.Add(obs.BiasedAttrs, 1)
 	a.metrics.Add(obs.IPWFits, 1)
 	slotW := missing.Weights(entEnc, meanO)
@@ -452,11 +457,11 @@ func (s *Session) ipwWeights(a *Analysis, attr *extract.Attribute) []float64 {
 	return w
 }
 
-// NumBiased returns the number of KG attributes flagged with selection bias
-// so far (detection is lazy; the count is complete after an Explain). The
-// count is read from the same counter set a trace snapshots, so the two can
-// never disagree.
-func (a *Analysis) NumBiased() int { return int(a.metrics.Get(obs.BiasedAttrs)) }
+// NumBiased returns the number of this analysis's KG attributes flagged
+// with selection bias so far (detection is lazy; the count is complete
+// after an Explain). It counts only this analysis, even when its counter
+// set is shared — a server's biased_attrs is a running total across jobs.
+func (a *Analysis) NumBiased() int { return int(a.biased.Load()) }
 
 // KGCandidate wraps an extracted attribute (typically a modified copy, e.g.
 // with injected missingness) as a candidate with the session's usual lazy

@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -108,8 +109,13 @@ func run(args []string) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	log.Printf("listening on %s", *addr)
-	if err := srv.ListenAndServe(ctx, *addr, *drainTimeout); err != nil {
+	// Bind before logging so "-addr :0" reports the actual port.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	log.Printf("listening on %s", ln.Addr())
+	if err := srv.Serve(ctx, ln, *drainTimeout); err != nil {
 		return err
 	}
 	log.Printf("drained, bye")

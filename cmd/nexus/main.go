@@ -30,6 +30,7 @@ import (
 	"nexus/internal/kg"
 	"nexus/internal/kgremote"
 	"nexus/internal/obs"
+	"nexus/internal/rpc"
 	"nexus/internal/workload"
 )
 
@@ -74,6 +75,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("-sql is required")
 	}
+	kgEndpoint, err := rpc.ParseEndpoint(*kgURL)
+	if err != nil {
+		return fmt.Errorf("-kg: %w", err)
+	}
+	fleet, err := rpc.ParseEndpoints(*distW)
+	if err != nil {
+		return fmt.Errorf("-dist-workers: %w", err)
+	}
 
 	// Every phase below runs inside the trace, so the reported total is the
 	// root span — the printed tree sums to it by construction.
@@ -97,17 +106,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// its entities — but with -kg the extraction backend is the remote
 	// server (which must run with the same -seed for identical results).
 	var src kg.Source = world.Graph
-	if *kgURL != "" {
-		fmt.Fprintf(stdout, "using remote knowledge graph at %s\n", *kgURL)
-		src = kgremote.New(*kgURL, kgremote.Options{Counters: tr.Counters()})
+	if kgEndpoint != "" {
+		fmt.Fprintf(stdout, "using remote knowledge graph at %s\n", kgEndpoint)
+		src = kgremote.New(kgEndpoint, kgremote.Options{Counters: tr.Counters()})
 	}
 	opts := nexus.Options{Hops: *hops, DisableIPW: *noIPW, Trace: tr}
 	opts.Core.Parallelism = *par
-	if *distW != "" {
-		fleet := strings.Split(*distW, ",")
-		for i := range fleet {
-			fleet[i] = strings.TrimSpace(fleet[i])
-		}
+	if fleet != nil {
 		fmt.Fprintf(stdout, "distributed scoring across %d worker(s)\n", len(fleet))
 		opts.Core.Scorer = distremote.New(fleet, distremote.Options{Parallelism: *par, Counters: tr.Counters()})
 	}

@@ -60,3 +60,29 @@ func TestRunSuccessTinyDataset(t *testing.T) {
 		t.Fatalf("summary missing from output:\n%s", out.String())
 	}
 }
+
+// Regression: a stray comma in -dist-workers used to build a fleet with an
+// empty worker URL; malformed -kg / -dist-workers values must now fail
+// fast with a non-zero exit, before any world generation.
+func TestRunRejectsBadEndpoints(t *testing.T) {
+	sql := []string{"-dataset", "forbes", "-rows", "200", "-sql", "SELECT Category, avg(Pay) FROM Forbes GROUP BY Category"}
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-dist-workers", "http://a:7080,"}, "-dist-workers"},
+		{[]string{"-dist-workers", "a:7080"}, "-dist-workers"},
+		{[]string{"-kg", "localhost:7070"}, "-kg"},
+		{[]string{"-kg", "http://a:7070,http://b:7070"}, "-kg"},
+	}
+	for _, tc := range cases {
+		var out, errw strings.Builder
+		err := run(append(tc.args, sql...), &out, &errw)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) error = %v, want one naming %s", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) started work before rejecting the flag:\n%s", tc.args, out.String())
+		}
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -49,6 +50,7 @@ import (
 	"nexus/internal/kgremote"
 	"nexus/internal/obs"
 	"nexus/internal/reportcache"
+	"nexus/internal/rpc"
 	"nexus/internal/server"
 	"nexus/internal/workload"
 )
@@ -98,6 +100,14 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	kgEndpoint, err := rpc.ParseEndpoint(*kgURL)
+	if err != nil {
+		return fmt.Errorf("-kg: %w", err)
+	}
+	fleet, err := rpc.ParseEndpoints(*distWorkers)
+	if err != nil {
+		return fmt.Errorf("-dist-workers: %w", err)
+	}
 
 	// One registry per daemon: the serving histograms and gauges plus the
 	// pipeline counter set, all rendered by GET /metrics; the counter set
@@ -114,9 +124,9 @@ func run(args []string) error {
 	// its entities — but with -kg the extraction backend is the remote kgd
 	// server (which must run with the same -seed for identical results).
 	var src kg.Source = world.Graph
-	if *kgURL != "" {
-		log.Printf("using remote knowledge graph at %s", *kgURL)
-		src = kgremote.New(*kgURL, kgremote.Options{Counters: metrics, Registry: registry})
+	if kgEndpoint != "" {
+		log.Printf("using remote knowledge graph at %s", kgEndpoint)
+		src = kgremote.New(kgEndpoint, kgremote.Options{Counters: metrics, Registry: registry})
 	}
 	sessOpts := nexus.Options{
 		Hops:       *hops,
@@ -132,11 +142,7 @@ func run(args []string) error {
 		ExtractCache: nexus.NewExtractionCache(metrics),
 	}
 	sessOpts.Core.Parallelism = *par
-	if *distWorkers != "" {
-		fleet := strings.Split(*distWorkers, ",")
-		for i := range fleet {
-			fleet[i] = strings.TrimSpace(fleet[i])
-		}
+	if fleet != nil {
 		log.Printf("distributed scoring across %d worker(s): %s", len(fleet), strings.Join(fleet, ", "))
 		sessOpts.Core.Scorer = distremote.New(fleet, distremote.Options{
 			HedgeAfter:  *hedgeAfter,
@@ -244,8 +250,13 @@ func run(args []string) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	log.Printf("listening on %s", *addr)
-	if err := srv.ListenAndServe(ctx, *addr, *drainTimeout); err != nil {
+	// Bind before logging so "-addr :0" reports the actual port.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	log.Printf("listening on %s", ln.Addr())
+	if err := srv.Serve(ctx, ln, *drainTimeout); err != nil {
 		return err
 	}
 	log.Printf("drained, bye")

@@ -62,7 +62,8 @@ const (
 	// KGAttrs counts extracted candidate attributes.
 	KGAttrs = "kg_attrs"
 	// BiasedAttrs counts KG attributes flagged with selection bias (IPW
-	// weights applied). This is the counter behind Analysis.NumBiased.
+	// weights applied). A shared counter set (nexusd's) accumulates it
+	// across analyses; Analysis.NumBiased is the per-analysis count.
 	BiasedAttrs = "biased_attrs"
 	// IPWFits counts logistic propensity-model fits.
 	IPWFits = "ipw_fits"

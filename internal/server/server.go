@@ -190,8 +190,7 @@ func (c *Config) applyDefaults() {
 }
 
 // Server is the HTTP explanation service. Construct with New, serve with
-// Serve or ListenAndServe (both block until their context is cancelled,
-// then drain).
+// Serve (blocks until its context is cancelled, then drains).
 type Server struct {
 	cfg      Config
 	metrics  *obs.Counters
@@ -351,15 +350,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	return herr
 }
 
-// ListenAndServe is Serve over a fresh TCP listener on addr.
-func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln, drainTimeout)
-}
-
 // shutdownWorkers waits for in-flight jobs (cancelling them if ctx expires
 // first), then stops the worker pool. It flips the draining flag first, so
 // once inflight drains no new job can reach the queue and closing it is
@@ -425,7 +415,6 @@ func (s *Server) run(j *Job) {
 	defer s.inflight.Done()
 	s.queueWait.RecordSince(j.enqueued)
 	s.workersBusy.Inc()
-	defer s.workersBusy.Dec()
 	j.start()
 	start := time.Now()
 
@@ -447,6 +436,9 @@ func (s *Server) run(j *Job) {
 	}
 	elapsed := time.Since(start)
 	s.runTime.RecordDuration(elapsed)
+	// Idle before finish: a client that has seen the result must not see
+	// this worker still busy on /metrics.
+	s.workersBusy.Dec()
 	tr.Close() // ends the root span, flushing it to the capture sink
 	if capture != nil {
 		detail := j.req.SQL

@@ -18,6 +18,7 @@ import (
 	"nexus"
 	"nexus/internal/kg"
 	"nexus/internal/obs"
+	"nexus/internal/reportcache"
 	"nexus/internal/workload"
 )
 
@@ -400,5 +401,37 @@ func TestHealthz(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d", resp.StatusCode)
+	}
+}
+
+// TestBiasedCandidatesPerJob is the regression test for biased_candidates
+// reporting the running total of the server-wide counter set instead of
+// the job's own count: two explains of one SQL that both miss the report
+// cache (different tau) must report the same number.
+func TestBiasedCandidatesPerJob(t *testing.T) {
+	srv, metrics := newTestServer(t, Config{Workers: 1})
+	srv.cache = reportcache.New(reportcache.Config{Counters: metrics})
+	srv.Start()
+	defer srv.shutdownWorkers(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var got []int
+	for _, tau := range []float64{0.1, 0.2} {
+		code, body := postExplain(t, ts.URL, ExplainRequest{SQL: testSQL, Subgroups: 1, Tau: tau})
+		if code != http.StatusOK {
+			t.Fatalf("tau %g: status %d: %s", tau, code, body)
+		}
+		var resp ExplainResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, resp.BiasedCandidates)
+	}
+	if misses := metrics.Get(obs.ReportCacheMisses); misses != 2 {
+		t.Fatalf("report cache misses = %d, want 2 (both explains must run)", misses)
+	}
+	if got[0] == 0 || got[0] != got[1] {
+		t.Fatalf("biased_candidates = %v, want two equal non-zero counts", got)
 	}
 }

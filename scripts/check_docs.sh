@@ -104,6 +104,7 @@ require_section docs/ARCHITECTURE.md '## Distributed scoring'
 require_section docs/OPERATIONS.md '## nexusw flags'
 require_section docs/BENCHMARKS.md '### BENCH_dist.json'
 require_section README.md '### Distributed scoring fleet'
+require_section docs/ARCHITECTURE.md '## RPC kit'
 
 if [ "$fail" -ne 0 ]; then
     exit 1
